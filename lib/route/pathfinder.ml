@@ -50,33 +50,21 @@ type result = {
   iter_stats : iter_stat list; (* chronological, one per iteration *)
 }
 
+(* Negotiation state of one [route] call.  [base]/[cap] flatten the RR
+   nodes' base cost and capacity so the wavefront reads plain arrays. *)
 type state = {
   occ : int array;
   history : float array;
+  base : float array;
+  cap : int array;
   mutable pres_fac : float;
 }
-
-let node_cost (g : Rrgraph.t) st n ~extra =
-  let node = g.Rrgraph.nodes.(n) in
-  let over = st.occ.(n) + extra + 1 - node.Rrgraph.capacity in
-  let present = if over > 0 then 1.0 +. (float_of_int over *. st.pres_fac) else 1.0 in
-  node.Rrgraph.base_cost *. (1.0 +. st.history.(n)) *. present
-
-(* Timing-driven blend (the VPR router's cost): a critical net weighs node
-   delay, a non-critical net weighs congestion.  [delay_norm] scales the
-   delay term into [0,1]; it is the largest per-node delay of the graph,
-   so the blend is architecture-independent. *)
-let blended_cost (g : Rrgraph.t) st ?node_delay ~delay_norm ~crit n =
-  match node_delay with
-  | Some delays when crit > 0.0 ->
-      (crit *. delays.(n) /. delay_norm)
-      +. ((1.0 -. crit) *. node_cost g st n ~extra:0)
-  | _ -> node_cost g st n ~extra:0
 
 (* Scratch buffers shared across nets and iterations within one [route]
    call.  [dist]/[prev] are validated by a generation stamp instead of
    being re-filled per sink: a slot is live only when [stamp.(v) = epoch],
-   so starting a fresh search is an integer increment, not an O(n) fill. *)
+   so starting a fresh search is an integer increment, not an O(n) fill.
+   [rem] holds the net's still-unreached sinks. *)
 type scratch = {
   dist : float array;
   prev : int array;
@@ -84,7 +72,8 @@ type scratch = {
   mutable epoch : int;
   in_tree : bool array;
   is_sink : bool array;
-  heap : int Util.Pqueue.t;
+  mutable rem : int array;
+  heap : Util.Pqueue.t;
   mutable pops : int;        (* heap pops since last reset (observability) *)
 }
 
@@ -96,6 +85,7 @@ let make_scratch n =
     epoch = 0;
     in_tree = Array.make n false;
     is_sink = Array.make n false;
+    rem = [||];
     heap = Util.Pqueue.create ();
     pops = 0;
   }
@@ -113,12 +103,11 @@ let domain_scratch n =
     ~valid:(fun sc -> Array.length sc.dist >= n)
     ~create:(fun () -> make_scratch n)
 
-let dist_of sc v = if sc.stamp.(v) = sc.epoch then sc.dist.(v) else infinity
-
-let set_dist sc v d p =
-  sc.stamp.(v) <- sc.epoch;
-  sc.dist.(v) <- d;
-  sc.prev.(v) <- p
+(* Tiles between the intervals [lo1, hi1] and [lo2, hi2] (0 if they
+   overlap). *)
+let gap lo1 hi1 lo2 hi2 =
+  let d1 = lo2 - hi1 and d2 = lo1 - hi2 in
+  if d1 > 0 then d1 else if d2 > 0 then d2 else 0
 
 (* Route one net: grow a tree from the driver OPIN to every sink.  Each
    wavefront expands from the whole current tree and stops at whichever
@@ -129,112 +118,161 @@ let set_dist sc v d p =
    d tiles never costs less than d.  A wire's whole span counts: once
    paid for, it can be exited at any switch point along it.  [bounds], if
    given, restricts the search to nodes intersecting the rectangle (VPR's
-   bounding-box routing). *)
+   bounding-box routing).
+
+   A node's cost is base * (1 + history) * present, where [present]
+   penalises occupancy beyond capacity; a timing-driven net ([node_delay]
+   given, [crit] > 0) blends it with the node's normalised delay, the VPR
+   router's cost: crit * delay / delay_norm + (1 - crit) * congestion.
+   [delay_norm] is the graph's largest node delay, so the blend is
+   architecture-independent.
+
+   The wavefront loop allocates nothing but the heap's float boxes: the
+   cost arithmetic is inline, the remaining sinks sit in [sc.rem] and the
+   lookahead returns an int tile distance. *)
 let route_net (g : Rrgraph.t) st sc ?node_delay ?bounds ~delay_norm
     ~astar_fac ~crit ~source ~sinks () =
-  let inside =
-    match bounds with
-    | None -> fun _ -> true
-    | Some (bx0, bx1, by0, by1) ->
-        fun v ->
-          g.Rrgraph.xhi.(v) >= bx0 && g.Rrgraph.xlo.(v) <= bx1
-          && g.Rrgraph.yhi.(v) >= by0 && g.Rrgraph.ylo.(v) <= by1
+  let xlo = g.Rrgraph.xlo and xhi = g.Rrgraph.xhi in
+  let ylo = g.Rrgraph.ylo and yhi = g.Rrgraph.yhi in
+  let edges = g.Rrgraph.edges in
+  let occ = st.occ and history = st.history in
+  let base = st.base and cap = st.cap and pres_fac = st.pres_fac in
+  let dist = sc.dist and prev = sc.prev and stamp = sc.stamp in
+  let in_tree = sc.in_tree and is_sink = sc.is_sink and heap = sc.heap in
+  let bx0, bx1, by0, by1 =
+    match bounds with Some b -> b | None -> (min_int, max_int, min_int, max_int)
   in
+  let timed, delays =
+    match node_delay with
+    | Some delays when crit > 0.0 -> (true, delays)
+    | _ -> (false, [||])
+  in
+  let congestion_weight = 1.0 -. crit in
   let tree_nodes = ref [ source ] in
   let tree_parents = ref [] in
-  sc.in_tree.(source) <- true;
-  List.iter (fun t -> sc.is_sink.(t) <- true) sinks;
-  let remaining = ref sinks in
+  in_tree.(source) <- true;
+  let n_sinks = List.length sinks in
+  if Array.length sc.rem < n_sinks then sc.rem <- Array.make n_sinks 0;
+  let rem = sc.rem and nrem = ref 0 in
+  List.iter
+    (fun t ->
+      is_sink.(t) <- true;
+      rem.(!nrem) <- t;
+      incr nrem)
+    sinks;
   let cleanup () =
-    List.iter (fun t -> sc.is_sink.(t) <- false) sinks;
-    List.iter (fun t -> sc.in_tree.(t) <- false) !tree_nodes
+    List.iter (fun t -> is_sink.(t) <- false) sinks;
+    List.iter (fun t -> in_tree.(t) <- false) !tree_nodes
   in
-  let gap lo1 hi1 lo2 hi2 =
-    let d1 = lo2 - hi1 and d2 = lo1 - hi2 in
-    if d1 > 0 then d1 else if d2 > 0 then d2 else 0
-  in
-  (* lookahead to the cheapest-to-reach remaining sink: min over the sinks
-     for small fanout, their bounding hull for large (both admissible) *)
-  let make_lookahead rem =
-    if astar_fac = 0.0 then fun _ -> 0.0
-    else if List.length rem <= 6 then
-      fun v ->
-        let x0 = g.Rrgraph.xlo.(v) and x1 = g.Rrgraph.xhi.(v) in
-        let y0 = g.Rrgraph.ylo.(v) and y1 = g.Rrgraph.yhi.(v) in
-        astar_fac
-        *. float_of_int
-             (List.fold_left
-                (fun m t ->
-                  min m
-                    (gap x0 x1 g.Rrgraph.xlo.(t) g.Rrgraph.xhi.(t)
-                    + gap y0 y1 g.Rrgraph.ylo.(t) g.Rrgraph.yhi.(t)))
-                max_int rem)
-    else begin
-      let hx0 = List.fold_left (fun m t -> min m g.Rrgraph.xlo.(t)) max_int rem in
-      let hx1 = List.fold_left (fun m t -> max m g.Rrgraph.xhi.(t)) min_int rem in
-      let hy0 = List.fold_left (fun m t -> min m g.Rrgraph.ylo.(t)) max_int rem in
-      let hy1 = List.fold_left (fun m t -> max m g.Rrgraph.yhi.(t)) min_int rem in
-      fun v ->
-        astar_fac
-        *. float_of_int
-             (gap g.Rrgraph.xlo.(v) g.Rrgraph.xhi.(v) hx0 hx1
-             + gap g.Rrgraph.ylo.(v) g.Rrgraph.yhi.(v) hy0 hy1)
+  (* lookahead tiles to the cheapest-to-reach remaining sink: min over
+     the sinks for small fanout, their bounding hull for large (both
+     admissible); the hull is refreshed per wavefront *)
+  let hx0 = ref 0 and hx1 = ref 0 and hy0 = ref 0 and hy1 = ref 0 in
+  let la_tiles v =
+    let x0 = xlo.(v) and x1 = xhi.(v) and y0 = ylo.(v) and y1 = yhi.(v) in
+    if !nrem <= 6 then begin
+      let m = ref max_int in
+      for k = 0 to !nrem - 1 do
+        let t = rem.(k) in
+        let d = gap x0 x1 xlo.(t) xhi.(t) + gap y0 y1 ylo.(t) yhi.(t) in
+        if d < !m then m := d
+      done;
+      !m
     end
+    else gap x0 x1 !hx0 !hx1 + gap y0 y1 !hy0 !hy1
   in
   (try
-     while !remaining <> [] do
+     while !nrem > 0 do
+       if !nrem > 6 then begin
+         hx0 := max_int; hx1 := min_int; hy0 := max_int; hy1 := min_int;
+         for k = 0 to !nrem - 1 do
+           let t = rem.(k) in
+           hx0 := min !hx0 xlo.(t);
+           hx1 := max !hx1 xhi.(t);
+           hy0 := min !hy0 ylo.(t);
+           hy1 := max !hy1 yhi.(t)
+         done
+       end;
        (* multi-source directed search from the current tree *)
-       let lookahead = make_lookahead !remaining in
        sc.epoch <- sc.epoch + 1;
-       Util.Pqueue.clear sc.heap;
+       let epoch = sc.epoch in
+       Util.Pqueue.clear heap;
        List.iter
          (fun t ->
-           set_dist sc t 0.0 (-1);
-           Util.Pqueue.push sc.heap (lookahead t) t)
+           stamp.(t) <- epoch;
+           dist.(t) <- 0.0;
+           prev.(t) <- -1;
+           Util.Pqueue.push heap (astar_fac *. float_of_int (la_tiles t)) t)
          !tree_nodes;
        let target = ref (-1) in
-       (try
-          while not (Util.Pqueue.is_empty sc.heap) do
-            let f, u = Util.Pqueue.pop sc.heap in
-            sc.pops <- sc.pops + 1;
-            (* stale-entry check: the pushed key was dist + lookahead *)
-            if f <= dist_of sc u +. lookahead u then begin
-              if sc.is_sink.(u) then begin
-                target := u;
-                raise Exit
-              end;
-              let du = dist_of sc u in
-              Array.iter
-                (fun v ->
-                  if inside v then begin
-                    let c = blended_cost g st ?node_delay ~delay_norm ~crit v in
-                    let nd = du +. c in
-                    if nd < dist_of sc v then begin
-                      set_dist sc v nd u;
-                      Util.Pqueue.push sc.heap (nd +. lookahead v) v
-                    end
-                  end)
-                g.Rrgraph.edges.(u)
-            end
-          done
-        with Exit -> ());
-       if !target < 0 then raise Not_found;
+       while !target < 0 && not (Util.Pqueue.is_empty heap) do
+         let f = Util.Pqueue.top_prio heap in
+         let u = Util.Pqueue.pop heap in
+         sc.pops <- sc.pops + 1;
+         let du = if stamp.(u) = epoch then dist.(u) else infinity in
+         (* stale-entry check: the pushed key was dist + lookahead *)
+         if f <= du +. (astar_fac *. float_of_int (la_tiles u)) then begin
+           if is_sink.(u) then target := u
+           else begin
+             let succ = edges.(u) in
+             for k = 0 to Array.length succ - 1 do
+               let v = succ.(k) in
+               if xhi.(v) >= bx0 && xlo.(v) <= bx1 && yhi.(v) >= by0
+                  && ylo.(v) <= by1
+               then begin
+                 let over = occ.(v) + 1 - cap.(v) in
+                 let present =
+                   if over > 0 then 1.0 +. (float_of_int over *. pres_fac)
+                   else 1.0
+                 in
+                 let congestion = base.(v) *. (1.0 +. history.(v)) *. present in
+                 let c =
+                   if timed then
+                     (crit *. delays.(v) /. delay_norm)
+                     +. (congestion_weight *. congestion)
+                   else congestion
+                 in
+                 let nd = du +. c in
+                 let dv = if stamp.(v) = epoch then dist.(v) else infinity in
+                 if nd < dv then begin
+                   stamp.(v) <- epoch;
+                   dist.(v) <- nd;
+                   prev.(v) <- u;
+                   Util.Pqueue.push heap
+                     (nd +. (astar_fac *. float_of_int (la_tiles v)))
+                     v
+                 end
+               end
+             done
+           end
+         end
+       done;
+       let target = !target in
+       if target < 0 then raise Not_found;
        (* trace back, adding path nodes to the tree *)
        let rec back v =
-         if not sc.in_tree.(v) then begin
-           sc.in_tree.(v) <- true;
+         if not in_tree.(v) then begin
+           in_tree.(v) <- true;
            tree_nodes := v :: !tree_nodes;
-           tree_parents := (v, sc.prev.(v)) :: !tree_parents;
-           back sc.prev.(v)
+           tree_parents := (v, prev.(v)) :: !tree_parents;
+           back prev.(v)
          end
        in
-       back !target;
-       sc.is_sink.(!target) <- false;
-       remaining := List.filter (fun t -> t <> !target) !remaining
+       back target;
+       is_sink.(target) <- false;
+       (* drop every copy of the target from the remaining sinks *)
+       let k = ref 0 in
+       while !k < !nrem do
+         if rem.(!k) = target then begin
+           decr nrem;
+           rem.(!k) <- rem.(!nrem)
+         end
+         else incr k
+       done
      done
    with e -> cleanup (); raise e);
   cleanup ();
-  (List.sort_uniq compare !tree_nodes, !tree_parents)
+  (List.sort_uniq Int.compare !tree_nodes, !tree_parents)
 
 let occupy st nodes = List.iter (fun nd -> st.occ.(nd) <- st.occ.(nd) + 1) nodes
 
@@ -291,7 +329,15 @@ let route ?(max_iterations = 30) ?(pres_fac0 = 0.5) ?(pres_mult = 1.6)
     match obs with Some o -> Obs.Registry.observe o key v | None -> ()
   in
   let n = Rrgraph.node_count g in
-  let st = { occ = Array.make n 0; history = Array.make n 0.0; pres_fac = pres_fac0 } in
+  let st =
+    {
+      occ = Array.make n 0;
+      history = Array.make n 0.0;
+      base = Array.map (fun (nd : Rrgraph.node) -> nd.Rrgraph.base_cost) g.Rrgraph.nodes;
+      cap = Array.map (fun (nd : Rrgraph.node) -> nd.Rrgraph.capacity) g.Rrgraph.nodes;
+      pres_fac = pres_fac0;
+    }
+  in
   let delay_norm =
     match node_delay with
     | Some delays ->
@@ -315,7 +361,7 @@ let route ?(max_iterations = 30) ?(pres_fac0 = 0.5) ?(pres_mult = 1.6)
     let k = ref 0 in
     Array.iteri
       (fun i used ->
-        let over = used - g.Rrgraph.nodes.(i).Rrgraph.capacity in
+        let over = used - st.cap.(i) in
         if over > 0 then k := !k + over)
       st.occ;
     !k
@@ -324,7 +370,7 @@ let route ?(max_iterations = 30) ?(pres_fac0 = 0.5) ?(pres_mult = 1.6)
     let k = ref 0 in
     Array.iteri
       (fun i used ->
-        if used > g.Rrgraph.nodes.(i).Rrgraph.capacity then incr k)
+        if used > st.cap.(i) then incr k)
       st.occ;
     !k
   in
@@ -333,7 +379,7 @@ let route ?(max_iterations = 30) ?(pres_fac0 = 0.5) ?(pres_mult = 1.6)
   let congested tr =
     tr.nodes = []
     || List.exists
-         (fun nd -> st.occ.(nd) > g.Rrgraph.nodes.(nd).Rrgraph.capacity)
+         (fun nd -> st.occ.(nd) > st.cap.(nd))
          tr.nodes
   in
   (* bounding box of a net's terminals, expanded by 3 tiles; a net that
@@ -520,7 +566,7 @@ let route ?(max_iterations = 30) ?(pres_fac0 = 0.5) ?(pres_mult = 1.6)
       (* update history on overused nodes, sharpen the present penalty *)
       Array.iteri
         (fun i used ->
-          let o = used - g.Rrgraph.nodes.(i).Rrgraph.capacity in
+          let o = used - st.cap.(i) in
           if o > 0 then
             st.history.(i) <- st.history.(i) +. (acc_fac *. float_of_int o))
         st.occ;

@@ -82,7 +82,9 @@ let net_criticalities ?(model = Place.Td_timing.default_model)
   let a = Sta.Analysis.run graph provider in
   Array.map (Float.min 0.95) a.Sta.Analysis.net_criticality
 
-let try_width ?(max_iterations = 60) ?crit ?jobs ?obs
+(* Route at [width]: the graph and PathFinder's result, feasible or
+   not; [None] when some net has no path at all. *)
+let attempt_width ?(max_iterations = 60) ?crit ?jobs ?obs
     (params : Fpga_arch.Params.t) (placement : Place.Placement.t) width =
   let problem = placement.Place.Placement.problem in
   let g = Rrgraph.build params problem.Place.Problem.grid placement ~width in
@@ -94,9 +96,13 @@ let try_width ?(max_iterations = 60) ?crit ?jobs ?obs
   in
   let nets = net_terminals ?criticalities g problem in
   match Pathfinder.route ~max_iterations ?jobs ?obs ?node_delay g nets with
-  | r when r.Pathfinder.success -> Some (g, r)
+  | r -> (g, Some r)
+  | exception Not_found -> (g, None)
+
+let try_width ?max_iterations ?crit ?jobs ?obs params placement width =
+  match attempt_width ?max_iterations ?crit ?jobs ?obs params placement width with
+  | g, Some r when r.Pathfinder.success -> Some (g, r)
   | _ -> None
-  | exception Not_found -> None
 
 (* Route at a fixed width (raises if infeasible). *)
 let route_fixed ?(max_iterations = 60) ?timing ?jobs ?obs
@@ -115,6 +121,10 @@ let route_fixed ?(max_iterations = 60) ?timing ?jobs ?obs
       }
   | None -> failwith (Printf.sprintf "unroutable at channel width %d" width)
 
+(* One width probe of the min-width search, as recorded into the
+   registry. *)
+type probe = { feasible : bool; iterations : int; heap_pops : int; wall_s : float }
+
 (* Find the minimum routable channel width (VPR's headline metric), then
    return the routing at low stress (1.2x the minimum, the usual practice).
 
@@ -125,8 +135,12 @@ let route_fixed ?(max_iterations = 60) ?timing ?jobs ?obs
    search could possibly need next — the doubling sequence during the
    grow phase, the frontier of the binary-search decision tree during
    the shrink phase — memoise the outcomes, and then advance exactly the
-   sequential decision path over the cache.  The returned minimum width
-   (and hence the final routing) is bit-identical for any [jobs]. *)
+   sequential decision path over the cache.  The frontier speculates
+   toward the wider child first: a narrow (infeasible) probe costs
+   several times a feasible one, since it runs until the stagnation
+   cutoff.  The returned minimum width (and hence the final routing) is
+   bit-identical for any [jobs]; only the set of speculative probes
+   depends on it. *)
 let route_min_width ?(max_iterations = 60) ?(start = 6) ?timing ?table ?jobs
     ?obs (params : Fpga_arch.Params.t) (placement : Place.Placement.t) =
   let jobs = Util.Parallel.resolve_jobs ?jobs () in
@@ -142,6 +156,38 @@ let route_min_width ?(max_iterations = 60) ?(start = 6) ?timing ?table ?jobs
     match table with Some t -> t | None -> Hashtbl.create 16
   in
   let probes = ref 0 in
+  (* one probe routing: its outcome plus the work and wall time it took *)
+  let run_probe w =
+    let t0 = Unix.gettimeofday () in
+    let iterations, heap_pops, feasible =
+      match snd (attempt_width ~max_iterations params placement w) with
+      | None -> (0, 0, false)
+      | Some r ->
+          ( r.Pathfinder.iterations,
+            List.fold_left
+              (fun a (s : Pathfinder.iter_stat) -> a + s.Pathfinder.heap_pops)
+              0 r.Pathfinder.iter_stats,
+            r.Pathfinder.success )
+    in
+    { feasible; iterations; heap_pops; wall_s = Unix.gettimeofday () -. t0 }
+  in
+  (* the probe record, set on the calling domain once the pool joined;
+     volatile like [route.width-probes], as the probe set depends on the
+     pool size *)
+  let record w p =
+    match obs with
+    | None -> ()
+    | Some o ->
+        let set field v =
+          Obs.Registry.set ~volatile:true o
+            (Printf.sprintf "route.probe.w%d.%s" w field)
+            v
+        in
+        set "feasible" (if p.feasible then 1.0 else 0.0);
+        set "iterations" (float_of_int p.iterations);
+        set "heap-pops" (float_of_int p.heap_pops);
+        set "wall-s" p.wall_s
+  in
   let probe_batch widths =
     match List.filter (fun w -> not (Hashtbl.mem cache w)) widths with
     | [] -> ()
@@ -153,13 +199,13 @@ let route_min_width ?(max_iterations = 60) ?(start = 6) ?timing ?table ?jobs
            carries the final routing's iterations, identically at any
            jobs value *)
         let res =
-          Obs.Events.without (fun () ->
-              Util.Parallel.map ~jobs
-                (fun w ->
-                  Option.is_some (try_width ~max_iterations params placement w))
-                arr)
+          Obs.Events.without (fun () -> Util.Parallel.map ~jobs run_probe arr)
         in
-        Array.iteri (fun i w -> Hashtbl.replace cache w res.(i)) arr
+        Array.iteri
+          (fun i w ->
+            record w res.(i);
+            Hashtbl.replace cache w res.(i).feasible)
+          arr
   in
   let probe w =
     match Hashtbl.find_opt cache w with
@@ -187,7 +233,8 @@ let route_min_width ?(max_iterations = 60) ?(start = 6) ?timing ?table ?jobs
      covered.  [frontier] walks the decision tree from (lo, hi) through
      the cache and collects, breadth-first, up to [budget] midpoints the
      sequential search might still need — the immediate midpoint first,
-     then both speculative children of each unknown outcome. *)
+     then both speculative children of each unknown outcome, the wider
+     (cheaper to probe) child first. *)
   let frontier lo hi budget =
     let acc = ref [] and count = ref 0 in
     let q = Queue.create () in
@@ -202,8 +249,8 @@ let route_min_width ?(max_iterations = 60) ?(start = 6) ?timing ?table ?jobs
         | None ->
             acc := mid :: !acc;
             incr count;
-            Queue.push (l, mid) q;
-            Queue.push (mid, h) q
+            Queue.push (mid, h) q;
+            Queue.push (l, mid) q
       end
     done;
     !acc

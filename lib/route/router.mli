@@ -56,11 +56,18 @@ val route_min_width :
     probes candidate widths speculatively on a Domain pool: each probe
     is a pure function of the width, so the memoised outcomes replay the
     sequential decision path exactly and the result is bit-identical to
-    [jobs = 1].  Width probes are congestion-only; the final low-stress
-    routing is timing-driven when [timing] is given (criticalities from
-    one unified-STA pass at the final placement).  Only the final routing
-    records into [obs]: the speculative probe set depends on the pool
-    size, so instrumenting it would make metrics jobs-dependent.
+    [jobs = 1].  In the binary-search phase the speculation takes the
+    wider child of each unresolved midpoint before the narrower one:
+    infeasible (narrow) probes run until the stagnation cutoff and cost
+    several times a feasible probe.  Width probes are congestion-only;
+    the final low-stress routing is timing-driven when [timing] is given
+    (criticalities from one unified-STA pass at the final placement).
+    Only the final routing records PathFinder's metrics into [obs]: the
+    speculative probe set depends on the pool size, so instrumenting it
+    would make metrics jobs-dependent.  Each probe instead leaves a
+    {e volatile} record, [route.probe.w<width>.feasible] (1 or 0),
+    [.iterations], [.heap-pops] and [.wall-s], set on the calling domain
+    after the pool joins (docs/OBSERVABILITY.md).
 
     [table] is the probe memo ([width -> routable?]), exposed so a
     caller can persist routability across runs: entries already present

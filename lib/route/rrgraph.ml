@@ -90,33 +90,41 @@ let build (params : Fpga_arch.Params.t) (grid : Fpga_arch.Grid.t)
   let seg_of t = fst plan.(t) in
   let len_of t = segs.(seg_of t).Fpga_arch.Params.s_length in
   let offset_of t = snd plan.(t) in
-  let nodes = ref [] and n_nodes = ref 0 in
-  let node_tbl = Hashtbl.create 1024 in
+  (* nodes and their successor lists in growable arrays indexed by node
+     id, ids in creation order.  [add_edge] records every insertion,
+     newest first; repeats are dropped once, when the lists become the
+     adjacency arrays (a membership test per insertion is quadratic in
+     a pin's fan-out at Fc = 1) *)
+  let dummy = { kind = Sink (-1); capacity = 0; base_cost = 0.0; wire_tiles = 0; seg = 0 } in
+  let nodes = ref (Array.make 1024 dummy) and succ = ref (Array.make 1024 []) in
+  let n_nodes = ref 0 in
   let add kind capacity base_cost wire_tiles seg =
-    let n = { kind; capacity; base_cost; wire_tiles; seg } in
-    nodes := n :: !nodes;
-    Hashtbl.replace node_tbl !n_nodes n;
+    let id = !n_nodes in
+    if id = Array.length !nodes then begin
+      nodes := Array.append !nodes (Array.make id dummy);
+      succ := Array.append !succ (Array.make id [])
+    end;
+    !nodes.(id) <- { kind; capacity; base_cost; wire_tiles; seg };
     incr n_nodes;
-    !n_nodes - 1
+    id
   in
-  let node_rec id = Hashtbl.find node_tbl id in
-  let edges = Hashtbl.create 1024 in
-  let add_edge a b =
-    let cur = Option.value (Hashtbl.find_opt edges a) ~default:[] in
-    if not (List.mem b cur) then Hashtbl.replace edges a (b :: cur)
-  in
+  let node_rec id = !nodes.(id) in
+  let add_edge a b = !succ.(a) <- b :: !succ.(a) in
   (* ---- wire nodes ---- *)
   (* chanx wires: for y in 0..ny, track t, starts xs where wires tile the
-     row in steps of the track's segment length at its stagger offset *)
-  let chanx_node = Hashtbl.create 256 in
-  (* (xs, y, t) -> node *)
-  let chany_node = Hashtbl.create 256 in
+     row in steps of the track's segment length at its stagger offset.
+     [chanx_node]/[chany_node] map a wire's (start, channel, track) to its
+     node, -1 where no wire starts *)
+  let chanx_node = Array.make ((ny + 1) * width * (nx + 1)) (-1) in
+  let chanx_slot x0 y t = (((y * width) + t) * (nx + 1)) + x0 in
+  let chany_node = Array.make ((nx + 1) * width * (ny + 1)) (-1) in
+  let chany_slot x y0 t = (((x * width) + t) * (ny + 1)) + y0 in
   for y = 0 to ny do
     for t = 0 to width - 1 do
       List.iter
         (fun (x0, tiles) ->
           let id = add (Chanx (x0, y, t)) 1 (float_of_int tiles) tiles (seg_of t) in
-          Hashtbl.replace chanx_node (x0, y, t) id)
+          chanx_node.(chanx_slot x0 y t) <- id)
         (spans ~len:(len_of t) ~offset:(offset_of t) ~extent:nx)
     done
   done;
@@ -125,10 +133,13 @@ let build (params : Fpga_arch.Params.t) (grid : Fpga_arch.Grid.t)
       List.iter
         (fun (y0, tiles) ->
           let id = add (Chany (x, y0, t)) 1 (float_of_int tiles) tiles (seg_of t) in
-          Hashtbl.replace chany_node (x, y0, t) id)
+          chany_node.(chany_slot x y0 t) <- id)
         (spans ~len:(len_of t) ~offset:(offset_of t) ~extent:ny)
     done
   done;
+  let wire_at tbl slot inside =
+    if inside then match tbl.(slot) with -1 -> None | id -> Some id else None
+  in
   (* wire lookup: the chanx wire covering tile x at (row) y, track t *)
   let chanx_covering x y t =
     let len = len_of t and offset = offset_of t in
@@ -136,14 +147,14 @@ let build (params : Fpga_arch.Params.t) (grid : Fpga_arch.Grid.t)
     let rel = x - (1 - offset) in
     let xs = x - (rel mod len) in
     let x0 = max 1 xs in
-    Hashtbl.find_opt chanx_node (x0, y, t)
+    wire_at chanx_node (chanx_slot x0 y t) (x0 <= nx && y >= 0 && y <= ny)
   in
   let chany_covering x y t =
     let len = len_of t and offset = offset_of t in
     let rel = y - (1 - offset) in
     let ys = y - (rel mod len) in
     let y0 = max 1 ys in
-    Hashtbl.find_opt chany_node (x, y0, t)
+    wire_at chany_node (chany_slot x y0 t) (y0 <= ny && x >= 0 && x <= nx)
   in
   (* ---- switch boxes (disjoint, Fs = 3) ---- *)
   (* at S(x, y) for x in 0..nx, y in 0..ny: the four incident wires on track
@@ -262,10 +273,22 @@ let build (params : Fpga_arch.Params.t) (grid : Fpga_arch.Grid.t)
           add_edge id sink;
           connect_pin ~fc_of:fc_in_of ~pin:0 ~x ~y (fun w -> add_edge w id))
     blocks;
-  let nodes = Array.of_list (List.rev !nodes) in
+  let nodes = Array.sub !nodes 0 !n_nodes in
+  (* each successor once, at its first insertion, newest first: a walk
+     from the oldest insertion keeps first occurrences, consing them
+     into newest-first order *)
+  let seen = Array.make !n_nodes (-1) in
   let edge_arr =
-    Array.init (Array.length nodes) (fun i ->
-        Array.of_list (Option.value (Hashtbl.find_opt edges i) ~default:[]))
+    Array.init !n_nodes (fun a ->
+        Array.of_list
+          (List.fold_left
+             (fun kept b ->
+               if seen.(b) = a then kept
+               else begin
+                 seen.(b) <- a;
+                 b :: kept
+               end)
+             [] (List.rev !succ.(a))))
   in
   (* spatial extents (pins take their block's coordinates) *)
   let m = Array.length nodes in

@@ -1,17 +1,20 @@
-(* Binary-heap priority queue with float priorities (min-heap).
+(* Binary-heap priority queue with float priorities and int payloads
+   (min-heap), the PathFinder router's A* wavefront.
 
-   Used by the PathFinder router (Dijkstra/A* wavefront) and FlowMap.
-   Stale entries are handled by the caller (decrease-key is emulated by
+   Priorities and payloads live in two flat arrays: pushing or popping
+   allocates nothing in the queue (it only allocates to grow) and writes
+   no pointers (no write barrier), and [clear] is O(1) because int
+   payloads hold no references.  Stale
+   entries are handled by the caller (decrease-key is emulated by
    re-insertion, the standard trick for Dijkstra).
 
-   Elements live in an ['a option] array so that [pop] and [clear] can
-   drop their references: the router reuses one queue across every net
-   of a routing, and retaining popped payloads would keep them reachable
-   for the whole run. *)
+   The sifts move a hole instead of swapping, but make exactly the
+   comparisons of the classic swap-based sifts, so the pop order — ties
+   included — is that of the textbook binary heap. *)
 
-type 'a t = {
+type t = {
   mutable prio : float array;
-  mutable data : 'a option array;
+  mutable data : int array;
   mutable size : int;
 }
 
@@ -21,68 +24,75 @@ let length t = t.size
 
 let is_empty t = t.size = 0
 
-let clear t =
-  Array.fill t.data 0 t.size None;
-  t.size <- 0
+let clear t = t.size <- 0
 
 let grow t =
   let cap = Array.length t.prio in
   let ncap = if cap = 0 then 16 else 2 * cap in
-  let np = Array.make ncap 0.0 and nd = Array.make ncap None in
+  let np = Array.make ncap 0.0 and nd = Array.make ncap 0 in
   Array.blit t.prio 0 np 0 t.size;
   Array.blit t.data 0 nd 0 t.size;
   t.prio <- np;
   t.data <- nd
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if t.prio.(i) < t.prio.(parent) then begin
-      let p = t.prio.(i) and d = t.data.(i) in
-      t.prio.(i) <- t.prio.(parent);
-      t.data.(i) <- t.data.(parent);
-      t.prio.(parent) <- p;
-      t.data.(parent) <- d;
-      sift_up t parent
-    end
-  end
-
-let push t prio x =
+let push t p x =
   if t.size >= Array.length t.prio then grow t;
-  t.prio.(t.size) <- prio;
-  t.data.(t.size) <- Some x;
-  t.size <- t.size + 1;
-  sift_up t (t.size - 1)
+  let prio = t.prio and data = t.data in
+  (* sift up: the hole climbs while the new priority beats its parent *)
+  let i = ref t.size in
+  let continue = ref true in
+  while !continue && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    let pp = Array.unsafe_get prio parent in
+    if p < pp then begin
+      Array.unsafe_set prio !i pp;
+      Array.unsafe_set data !i (Array.unsafe_get data parent);
+      i := parent
+    end
+    else continue := false
+  done;
+  Array.unsafe_set prio !i p;
+  Array.unsafe_set data !i x;
+  t.size <- t.size + 1
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && t.prio.(l) < t.prio.(!smallest) then smallest := l;
-  if r < t.size && t.prio.(r) < t.prio.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    let p = t.prio.(i) and d = t.data.(i) in
-    t.prio.(i) <- t.prio.(!smallest);
-    t.data.(i) <- t.data.(!smallest);
-    t.prio.(!smallest) <- p;
-    t.data.(!smallest) <- d;
-    sift_down t !smallest
-  end
+let top_prio t =
+  if t.size = 0 then raise Not_found;
+  t.prio.(0)
 
-(* Remove and return the minimum-priority element with its priority. *)
+(* Remove the minimum-priority entry and return its payload.  The last
+   entry fills the root's hole and sifts down: at each level the smaller
+   child wins (left on a tie), and the hole stops where neither child is
+   strictly smaller. *)
 let pop t =
   if t.size = 0 then raise Not_found;
-  let p = t.prio.(0) in
-  let x = match t.data.(0) with Some x -> x | None -> assert false in
-  t.size <- t.size - 1;
-  if t.size > 0 then begin
-    t.prio.(0) <- t.prio.(t.size);
-    t.data.(0) <- t.data.(t.size);
-    t.data.(t.size) <- None;
-    sift_down t 0
-  end
-  else t.data.(0) <- None;
-  (p, x)
-
-let peek t =
-  if t.size = 0 then raise Not_found;
-  match t.data.(0) with Some x -> (t.prio.(0), x) | None -> assert false
+  let prio = t.prio and data = t.data in
+  let x = data.(0) in
+  let n = t.size - 1 in
+  t.size <- n;
+  if n > 0 then begin
+    let p = Array.unsafe_get prio n and d = Array.unsafe_get data n in
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      let r = l + 1 in
+      let best = ref !i and best_p = ref p in
+      if l < n && Array.unsafe_get prio l < !best_p then begin
+        best := l;
+        best_p := Array.unsafe_get prio l
+      end;
+      if r < n && Array.unsafe_get prio r < !best_p then begin
+        best := r;
+        best_p := Array.unsafe_get prio r
+      end;
+      if !best <> !i then begin
+        Array.unsafe_set prio !i !best_p;
+        Array.unsafe_set data !i (Array.unsafe_get data !best);
+        i := !best
+      end
+      else continue := false
+    done;
+    Array.unsafe_set prio !i p;
+    Array.unsafe_set data !i d
+  end;
+  x

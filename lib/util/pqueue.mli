@@ -1,32 +1,35 @@
-(** Binary-heap priority queue with float priorities (min-heap).
+(** Binary-heap priority queue with float priorities and int payloads
+    (min-heap).
 
-    Used by the PathFinder router's Dijkstra/A* wavefront and by FlowMap.
-    Decrease-key is emulated by re-insertion (the standard Dijkstra trick);
-    stale entries are the caller's concern.
+    The PathFinder router's Dijkstra/A* wavefront: payloads are RR-node
+    ids.  Decrease-key is emulated by re-insertion (the standard
+    Dijkstra trick); stale entries are the caller's concern.
 
-    [pop] and [clear] drop their references to removed elements, so a
-    queue may be reused across many searches (the router keeps one alive
-    for a whole routing) without retaining popped payloads. *)
+    Storage is two flat arrays ([float array] priorities, [int array]
+    payloads) that grow by doubling and are kept across [clear], so a
+    queue reused for a whole routing allocates only while it grows.
+    The pop order, ties included, is that of the textbook swap-based
+    binary heap: the sifts make exactly its comparisons. *)
 
-type 'a t
+type t
 
-val create : unit -> 'a t
+val create : unit -> t
 
-val length : 'a t -> int
+val length : t -> int
 
-val is_empty : 'a t -> bool
+val is_empty : t -> bool
 
-val clear : 'a t -> unit
-(** Remove every element, dropping the references they held
-    (O(length); storage is retained). *)
+val clear : t -> unit
+(** Remove every element in O(1); storage is retained. *)
 
-val push : 'a t -> float -> 'a -> unit
+val push : t -> float -> int -> unit
 (** [push q priority x] inserts [x]. *)
 
-val pop : 'a t -> float * 'a
-(** Remove and return the minimum-priority entry.
+val top_prio : t -> float
+(** The minimum priority, without removing its entry.
     @raise Not_found when empty. *)
 
-val peek : 'a t -> float * 'a
-(** The minimum-priority entry without removing it.
+val pop : t -> int
+(** Remove the minimum-priority entry and return its payload (read
+    {!top_prio} first for its priority).
     @raise Not_found when empty. *)

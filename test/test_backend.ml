@@ -421,6 +421,20 @@ let test_bitstream_crc () =
   Alcotest.(check int32) "known vector" 0xCBF43926l
     (Bitstream.Crc.of_string "123456789")
 
+(* The CRC table is process-wide state: two domains using it first, at
+   the same moment, must both succeed (a table built lazily on first use
+   races: OCaml 5 raises [CamlinternalLazy.Undefined] in one of them).
+   Only a fresh process has an unused table, so the race runs in 20 of
+   them, one after another. *)
+let test_bitstream_crc_two_domains () =
+  let exe = Filename.concat Filename.current_dir_name "crc_race.exe" in
+  for run = 1 to 20 do
+    Alcotest.(check int)
+      (Printf.sprintf "fresh process %d exits 0" run)
+      0
+      (Sys.command (Filename.quote exe ^ " 2>/dev/null"))
+  done
+
 let test_bitstream_lut_bits_nonempty () =
   let routed = Lazy.force routed_counter in
   let cfg = Bitstream.Layout.extract routed in
@@ -599,6 +613,7 @@ let suite =
     ("bitstream roundtrip", `Quick, test_bitstream_roundtrip);
     ("bitstream corruption detected", `Quick, test_bitstream_detects_corruption);
     ("bitstream crc", `Quick, test_bitstream_crc);
+    ("bitstream crc first use on two domains", `Quick, test_bitstream_crc_two_domains);
     ("bitstream lut bits", `Quick, test_bitstream_lut_bits_nonempty);
     ("static activity gate laws", `Quick, test_static_activity_gate_laws);
     ("static vs simulated activity", `Quick, test_static_activity_close_to_simulation);

@@ -18,6 +18,15 @@ let place_random seed =
   in
   (problem, anneal.Place.Anneal.placement)
 
+(* The placement the router benchmark uses: seed 1, full annealing. *)
+let place_design vhdl =
+  let net = Synth.Diviner.synthesize vhdl in
+  let mapped, _ = Techmap.Mapper.map_network ~k:4 ~verify:false net in
+  let packing = Pack.Cluster.pack ~n:5 ~i:12 mapped in
+  let problem = Place.Problem.build packing in
+  (Place.Anneal.run ~options:{ Place.Anneal.seed = 1; inner_num = 1.0 } problem)
+    .Place.Anneal.placement
+
 (* Routed trees are acyclic, connect the source to every sink, and the
    final occupancy respects every node's capacity. *)
 let prop_routed_trees_valid =
@@ -258,20 +267,35 @@ let test_intra_route_jobs_deterministic () =
 
 (* The speculative parallel width search must replay the sequential
    decision path exactly: same minimum width, same final width, and the
-   same routing tree for every net. *)
+   same routing tree for every net, at every pool size — on a random
+   placement, the 15-design suite and mult8.  (The speculation order
+   changes which probes run, never that path.) *)
 let test_width_search_jobs_deterministic () =
-  let _, placement = place_random 1234 in
-  let route jobs =
-    Route.Router.route_min_width ~jobs Fpga_arch.Params.amdrel placement
+  let placements =
+    ("random", snd (place_random 1234))
+    :: List.map
+         (fun (name, vhdl) -> (name, place_design vhdl))
+         (Core.Bench_circuits.suite @ [ ("mult8", Core.Bench_circuits.multiplier 8) ])
   in
-  let seq = route 1 and par = route 4 in
-  Alcotest.(check (option int)) "min width" seq.Route.Router.min_width
-    par.Route.Router.min_width;
-  Alcotest.(check int) "final width" seq.Route.Router.width
-    par.Route.Router.width;
-  Alcotest.(check bool) "identical route trees" true
-    (seq.Route.Router.result.Route.Pathfinder.trees
-    = par.Route.Router.result.Route.Pathfinder.trees)
+  List.iter
+    (fun (name, placement) ->
+      let route jobs =
+        Route.Router.route_min_width ~jobs Fpga_arch.Params.amdrel placement
+      in
+      let seq = route 1 in
+      List.iter
+        (fun jobs ->
+          let par = route jobs in
+          let what = Printf.sprintf "%s -j%d: " name jobs in
+          Alcotest.(check (option int)) (what ^ "min width") seq.Route.Router.min_width
+            par.Route.Router.min_width;
+          Alcotest.(check int) (what ^ "final width") seq.Route.Router.width
+            par.Route.Router.width;
+          Alcotest.(check bool) (what ^ "identical route trees") true
+            (seq.Route.Router.result.Route.Pathfinder.trees
+            = par.Route.Router.result.Route.Pathfinder.trees))
+        [ 2; 4 ])
+    placements
 
 (* Multi-start annealing is seed-deterministic per start, so the winner
    (and its every block location) must not depend on the pool size. *)
@@ -363,6 +387,119 @@ let test_multistart_single_is_run () =
     (single.Place.Anneal.placement.Place.Placement.loc
     = multi.Place.Anneal.placement.Place.Placement.loc)
 
+(* ---------- routing work fixture ---------- *)
+
+(* PathFinder's work and result at fixed widths: success, iterations,
+   heap pops summed over the iterations, and a digest of every net's
+   route tree.  The values pin the routing itself: a kernel edit that
+   moves a single heap pop or breaks one tie differently fails here,
+   even when the routing stays legal.  Covers an infeasible width
+   (routed to the stagnation cutoff), a feasible one, and a
+   timing-driven routing (blended delay/congestion cost) at the
+   untimed minimum width. *)
+let routing_fixture =
+  [
+    ("alu16", Core.Bench_circuits.alu 16, 5, false,
+     (false, 16, 176334, "bf2f52667404603a32a72dd39d23b96c"));
+    ("alu16", Core.Bench_circuits.alu 16, 7, false,
+     (true, 17, 108301, "02c0a2b81e6039c8133725d4cdbd040f"));
+    ("alu16", Core.Bench_circuits.alu 16, 6, true,
+     (true, 35, 185065, "3a88b80b0085fb30d577495bfe8615e4"));
+  ]
+
+let test_routing_fixture () =
+  let params = Fpga_arch.Params.amdrel in
+  let placements = Hashtbl.create 4 in
+  List.iter
+    (fun (name, vhdl, width, timing, (ok, iterations, pops, digest)) ->
+      let placement =
+        match Hashtbl.find_opt placements name with
+        | Some p -> p
+        | None ->
+            let p = place_design vhdl in
+            Hashtbl.replace placements name p;
+            p
+      in
+      let problem = placement.Place.Placement.problem in
+      let g = Route.Rrgraph.build params problem.Place.Problem.grid placement ~width in
+      let criticalities, node_delay =
+        if timing then
+          ( Some (Route.Router.net_criticalities placement),
+            Some (Route.Router.node_delays g (Route.Timing.default_constants params)) )
+        else (None, None)
+      in
+      let nets = Route.Router.net_terminals ?criticalities g problem in
+      let r = Route.Pathfinder.route ~max_iterations:60 ?node_delay g nets in
+      let what = Printf.sprintf "%s W=%d%s" name width (if timing then " timing" else "") in
+      Alcotest.(check bool) (what ^ ": success") ok r.Route.Pathfinder.success;
+      Alcotest.(check int) (what ^ ": iterations") iterations r.Route.Pathfinder.iterations;
+      Alcotest.(check int) (what ^ ": heap pops") pops
+        (List.fold_left
+           (fun a (s : Route.Pathfinder.iter_stat) -> a + s.Route.Pathfinder.heap_pops)
+           0 r.Route.Pathfinder.iter_stats);
+      Alcotest.(check string) (what ^ ": route trees") digest
+        (Digest.to_hex
+           (Digest.string
+              (Marshal.to_string
+                 (Array.map
+                    (fun (tr : Route.Pathfinder.route_tree) ->
+                      (tr.Route.Pathfinder.nodes, tr.Route.Pathfinder.parents))
+                    r.Route.Pathfinder.trees)
+                 []))))
+    routing_fixture
+
+(* ---------- width search: speculation and probe records ---------- *)
+
+(* mult12 (Wmin 12) at -j1 and -j2: each probe leaves one volatile
+   record, the deterministic metrics view ignores them, and speculating
+   toward the wider child runs 5 probes at -j2 ({6,12}, {9,10}, {11})
+   where the narrower-first order ran 6 ({6,12}, {9,7}, {10,11}). *)
+let test_width_probe_records () =
+  let placement = place_design (Core.Bench_circuits.multiplier 12) in
+  let search jobs =
+    let obs = Obs.Registry.create () in
+    let r = Route.Router.route_min_width ~jobs ~obs Fpga_arch.Params.amdrel placement in
+    (r, Obs.Registry.snapshot obs)
+  in
+  let probes snap =
+    match Obs.Registry.find snap "route.width-probes" with
+    | Some (Obs.Registry.Gauge g) -> int_of_float g
+    | _ -> Alcotest.fail "no route.width-probes gauge"
+  in
+  let records snap =
+    List.filter
+      (fun (e : Obs.Registry.entry) ->
+        let k = e.Obs.Registry.key in
+        String.length k > 12
+        && String.sub k 0 12 = "route.probe."
+        && Filename.extension k = ".feasible")
+      snap
+  in
+  let r1, s1 = search 1 and r2, s2 = search 2 in
+  Alcotest.(check (option int)) "Wmin" (Some 12) r1.Route.Router.min_width;
+  Alcotest.(check (option int)) "Wmin at -j2" r1.Route.Router.min_width
+    r2.Route.Router.min_width;
+  Alcotest.(check int) "probes at -j2" 5 (probes s2);
+  List.iter
+    (fun (jobs, snap) ->
+      let recs = records snap in
+      Alcotest.(check int)
+        (Printf.sprintf "-j%d: one record per probe" jobs)
+        (probes snap) (List.length recs);
+      Alcotest.(check bool)
+        (Printf.sprintf "-j%d: records volatile" jobs)
+        true
+        (List.for_all (fun (e : Obs.Registry.entry) -> e.Obs.Registry.volatile) recs);
+      Alcotest.(check bool)
+        (Printf.sprintf "-j%d: W=12 recorded feasible" jobs)
+        true
+        (Obs.Registry.find snap "route.probe.w12.feasible"
+        = Some (Obs.Registry.Gauge 1.0)))
+    [ (1, s1); (2, s2) ];
+  Alcotest.(check string) "deterministic view, -j1 = -j2"
+    (Obs.Emit.to_string (Obs.Registry.to_json ~deterministic:true s1))
+    (Obs.Emit.to_string (Obs.Registry.to_json ~deterministic:true s2))
+
 let suite =
   [
     Alcotest.test_case "incremental vs full rip-up" `Slow
@@ -380,6 +517,8 @@ let suite =
     Alcotest.test_case "multi-start single = run" `Quick
       test_multistart_single_is_run;
     Alcotest.test_case "per-iteration router stats" `Quick test_iter_stats;
+    Alcotest.test_case "routing work fixture" `Quick test_routing_fixture;
+    Alcotest.test_case "width probe records" `Slow test_width_probe_records;
     Alcotest.test_case "net_terminals rejects bad driver" `Quick
       test_net_terminals_bad_driver;
     QCheck_alcotest.to_alcotest prop_routed_trees_valid;

@@ -79,18 +79,32 @@ let test_prng_shuffle_is_permutation () =
 
 (* ---------- Pqueue ---------- *)
 
+(* Remove the minimum entry as a (priority, payload) pair. *)
+let pq_pop q =
+  let p = Util.Pqueue.top_prio q in
+  (p, Util.Pqueue.pop q)
+
+let pq_drain_prios q =
+  let rec drain acc =
+    if Util.Pqueue.is_empty q then List.rev acc
+    else drain (fst (pq_pop q) :: acc)
+  in
+  drain []
+
 let test_pqueue_ordering () =
   let q = Util.Pqueue.create () in
   List.iter (fun p -> Util.Pqueue.push q p (int_of_float p))
     [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
-  let order = List.init 5 (fun _ -> snd (Util.Pqueue.pop q)) in
+  let order = List.init 5 (fun _ -> Util.Pqueue.pop q) in
   Alcotest.(check (list int)) "ascending" [ 1; 2; 3; 4; 5 ] order
 
 let test_pqueue_empty () =
   let q = Util.Pqueue.create () in
   Alcotest.(check bool) "empty" true (Util.Pqueue.is_empty q);
   Alcotest.check_raises "pop empty" Not_found (fun () ->
-      ignore (Util.Pqueue.pop q))
+      ignore (Util.Pqueue.pop q));
+  Alcotest.check_raises "top_prio empty" Not_found (fun () ->
+      ignore (Util.Pqueue.top_prio q))
 
 let prop_pqueue_sorts =
   QCheck.Test.make ~count:100 ~name:"Pqueue: pops come out sorted"
@@ -98,17 +112,13 @@ let prop_pqueue_sorts =
     (fun floats ->
       let q = Util.Pqueue.create () in
       List.iteri (fun i p -> Util.Pqueue.push q p i) floats;
-      let rec drain acc =
-        if Util.Pqueue.is_empty q then List.rev acc
-        else drain (fst (Util.Pqueue.pop q) :: acc)
-      in
-      let out = drain [] in
-      out = List.sort compare floats)
+      pq_drain_prios q = List.sort compare floats)
 
-(* Interleaved push/pop/peek against a sorted-multiset model: pops come
-   out in priority order with their own payloads, peek agrees with the
-   next pop, length tracks, and popping empty raises.  (Payload =
-   priority, so payload/priority pairing is checked too.) *)
+(* Interleaved push/pop/top_prio against a sorted-multiset model of
+   (priority, payload) entries, the payload being the op's index: every
+   pop returns a minimum priority together with a payload that was
+   pushed at exactly that priority and not popped before, top_prio
+   agrees with the next pop, length tracks, and popping empty raises. *)
 let prop_pqueue_interleaved =
   QCheck.Test.make ~count:200 ~name:"Pqueue: interleaved ops match model"
     QCheck.(list (option (float_bound_exclusive 1000.0)))
@@ -116,24 +126,26 @@ let prop_pqueue_interleaved =
       let q = Util.Pqueue.create () in
       let model = ref [] in
       List.for_all
-        (fun op ->
+        (fun (i, op) ->
           match op with
           | Some p ->
-              Util.Pqueue.push q p p;
-              model := List.sort compare (p :: !model);
+              Util.Pqueue.push q p i;
+              model := List.sort compare ((p, i) :: !model);
               Util.Pqueue.length q = List.length !model
-              && fst (Util.Pqueue.peek q) = List.hd !model
+              && Util.Pqueue.top_prio q = fst (List.hd !model)
           | None -> (
               match !model with
               | [] -> (
                   match Util.Pqueue.pop q with
                   | _ -> false
                   | exception Not_found -> Util.Pqueue.is_empty q)
-              | m :: rest ->
-                  let p, x = Util.Pqueue.pop q in
-                  model := rest;
-                  p = m && x = m))
-        ops)
+              | (m, _) :: _ ->
+                  let p, x = pq_pop q in
+                  let found = List.mem (p, x) !model in
+                  model := List.filter (fun e -> e <> (p, x)) !model;
+                  p = m && found
+                  && Util.Pqueue.length q = List.length !model))
+        (List.mapi (fun i op -> (i, op)) ops))
 
 (* [clear] really empties: the queue drains as if freshly created. *)
 let prop_pqueue_clear =
@@ -142,17 +154,85 @@ let prop_pqueue_clear =
               (list (float_bound_exclusive 100.0)))
     (fun (first, second) ->
       let q = Util.Pqueue.create () in
-      List.iter (fun p -> Util.Pqueue.push q p p) first;
+      List.iteri (fun i p -> Util.Pqueue.push q p i) first;
       Util.Pqueue.clear q;
       Util.Pqueue.is_empty q
       && begin
-           List.iter (fun p -> Util.Pqueue.push q p p) second;
-           let rec drain acc =
-             if Util.Pqueue.is_empty q then List.rev acc
-             else drain (fst (Util.Pqueue.pop q) :: acc)
-           in
-           drain [] = List.sort compare second
+           List.iteri (fun i p -> Util.Pqueue.push q p i) second;
+           pq_drain_prios q = List.sort compare second
          end)
+
+(* Reference: the textbook binary heap with swap-based sifts. *)
+module Ref_heap = struct
+  type t = { mutable a : (float * int) array; mutable size : int }
+
+  let create () = { a = Array.make 4 (0.0, 0); size = 0 }
+
+  let swap h i j =
+    let x = h.a.(i) in
+    h.a.(i) <- h.a.(j);
+    h.a.(j) <- x
+
+  let rec sift_up h i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if fst h.a.(i) < fst h.a.(parent) then begin
+        swap h i parent;
+        sift_up h parent
+      end
+    end
+
+  let push h p x =
+    if h.size = Array.length h.a then
+      h.a <- Array.append h.a (Array.make h.size (0.0, 0));
+    h.a.(h.size) <- (p, x);
+    h.size <- h.size + 1;
+    sift_up h (h.size - 1)
+
+  let rec sift_down h i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest = ref i in
+    if l < h.size && fst h.a.(l) < fst h.a.(!smallest) then smallest := l;
+    if r < h.size && fst h.a.(r) < fst h.a.(!smallest) then smallest := r;
+    if !smallest <> i then begin
+      swap h i !smallest;
+      sift_down h !smallest
+    end
+
+  let pop h =
+    let top = h.a.(0) in
+    h.size <- h.size - 1;
+    if h.size > 0 then begin
+      h.a.(0) <- h.a.(h.size);
+      sift_down h 0
+    end;
+    top
+end
+
+(* With heavily tied priorities (a handful of distinct values), the
+   queue pops the same (priority, payload) sequence as the reference
+   heap under any interleaving of pushes, pops and clears: the router's
+   tie-breaking, and so its routing, depends on this order. *)
+let prop_pqueue_tie_order =
+  QCheck.Test.make ~count:300 ~name:"Pqueue: tie order = reference heap"
+    QCheck.(list (option (int_bound 6)))
+    (fun ops ->
+      let q = Util.Pqueue.create () and h = Ref_heap.create () in
+      List.for_all
+        (fun (i, op) ->
+          match op with
+          | Some 6 ->
+              Util.Pqueue.clear q;
+              h.Ref_heap.size <- 0;
+              true
+          | Some k ->
+              Util.Pqueue.push q (float_of_int k) i;
+              Ref_heap.push h (float_of_int k) i;
+              true
+          | None ->
+              if h.Ref_heap.size = 0 then Util.Pqueue.is_empty q
+              else pq_pop q = Ref_heap.pop h)
+        (List.mapi (fun i op -> (i, op)) ops))
 
 (* ---------- Union_find ---------- *)
 
@@ -284,4 +364,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_pqueue_sorts;
     QCheck_alcotest.to_alcotest prop_pqueue_interleaved;
     QCheck_alcotest.to_alcotest prop_pqueue_clear;
+    QCheck_alcotest.to_alcotest prop_pqueue_tie_order;
   ]
